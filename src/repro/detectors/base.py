@@ -62,6 +62,13 @@ class Detector(ABC):
     #: :meth:`repro.neighbors.DistanceProvider.kneighbors`).
     uses_knn_queries: ClassVar[bool] = False
 
+    #: Version of the scoring algorithm. Bump it whenever a change alters
+    #: the scores a detector gives for the same parameters and input, so
+    #: :meth:`cache_key` no longer matches score vectors stored by the
+    #: previous version (engine snapshots, see
+    #: :meth:`repro.serve.ExplainEngine.restore_snapshot`).
+    revision: ClassVar[int] = 0
+
     def score(
         self,
         X: np.ndarray,
@@ -138,9 +145,10 @@ class Detector(ABC):
 
         Two detector instances with equal cache keys must produce identical
         scores for identical inputs; the subspace scorer uses this to share
-        cached score vectors.
+        cached score vectors. The key includes :attr:`revision`, so vectors
+        computed by an earlier version of the algorithm never match.
         """
-        return (self.name,) + tuple(sorted(self._params().items()))
+        return (self.name, self.revision) + tuple(sorted(self._params().items()))
 
     def _params(self) -> dict[str, object]:
         """Parameter mapping included in ``repr`` and :meth:`cache_key`."""

@@ -16,18 +16,31 @@ score over 10 independent repetitions to reduce variance (Section 3.1);
 
 Implementation notes
 --------------------
-Trees are stored as flat NumPy arrays (one row per node) and *all* points
-are routed through a tree level-synchronously, so scoring is a handful of
-vectorised gather operations per tree instead of a Python walk per point —
-essential because the explainers score thousands of subspace projections.
-Randomness is derived from ``(seed, fingerprint(X))`` so that re-scoring
-the same projection is deterministic (see :mod:`repro.detectors.base`).
+Each repeat grows its ``n_trees`` trees together, one level at a time,
+with no per-node Python loop. The frontier is every node of one depth
+across all trees, in (tree, left-to-right) order. Per level, the sample
+rows sit sorted by node (one stable argsort), so per-node, per-feature
+bounds are one ``np.minimum.reduceat``/``np.maximum.reduceat`` each. A
+node splits when it is below the height limit and some feature is
+non-constant in it (so singletons and duplicate points become leaves).
+All points of ``X`` are routed through the trees while they grow: a
+point that reaches a leaf is credited ``depth + c(leaf size)`` from a
+table of ``c(0..psi)``, and the others follow their node's split.
+
+Random stream, per repeat: the ``n_trees`` subsamples
+(``rng.choice(n, psi, replace=False)``, tree order), then per level one
+``rng.random((n_split_nodes, 2))`` in frontier order. A split node's
+``u0`` picks the ``floor(u0 * k)``-th (0-based, at most ``k - 1``) of
+its ``k`` splittable features and ``u1`` the threshold
+``lo + u1 * (hi - lo)``; points with ``x[feature] < threshold`` go left,
+so ``threshold == lo`` leaves an empty left child. The generator is
+seeded from ``(seed, fingerprint(X))`` so that re-scoring the same
+projection is deterministic (see :mod:`repro.detectors.base`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,36 +63,6 @@ def average_path_length(n: float) -> float:
         return 1.0
     harmonic = math.log(n - 1.0) + np.euler_gamma
     return 2.0 * harmonic - 2.0 * (n - 1.0) / n
-
-
-@dataclass
-class _Tree:
-    """Flat array representation of one isolation tree.
-
-    ``feature[i] < 0`` marks node ``i`` as a leaf; ``adjust`` holds the leaf
-    depth plus the :func:`average_path_length` correction for the leaf size.
-    """
-
-    feature: np.ndarray  # (n_nodes,) int32, -1 for leaves
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray  # (n_nodes,) int32 child index
-    right: np.ndarray  # (n_nodes,) int32 child index
-    adjust: np.ndarray  # (n_nodes,) float64, depth + c(leaf_size) at leaves
-    depth: int  # maximum node depth
-
-    def path_lengths(self, X: np.ndarray) -> np.ndarray:
-        """Adjusted path length of every row of ``X`` in this tree."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(self.depth + 1):
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            cur = node[rows]
-            go_left = X[rows, self.feature[cur]] < self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.adjust[node]
 
 
 class IsolationForest(Detector):
@@ -109,6 +92,9 @@ class IsolationForest(Detector):
     """
 
     name = "iforest"
+    #: 1: trees grown level by level (the random stream of revision 0's
+    #: depth-first grower is not reproduced).
+    revision = 1
 
     def __init__(
         self,
@@ -143,132 +129,66 @@ class IsolationForest(Detector):
         return total / self.n_repeats
 
     def _score_once(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = X.shape[0]
+        """Grow one forest level by level, routing every row of ``X`` as it grows."""
+        n, d = X.shape
+        n_trees = self.n_trees
         psi = min(self.subsample_size, n)
         height_limit = max(1, math.ceil(math.log2(psi)))
-        # Grow all trees first (the rng is consumed only during growth, so
-        # the random stream is identical to the old grow/score interleave),
-        # then route every point through every tree in one batched pass.
-        trees = []
-        for _ in range(self.n_trees):
-            sample = rng.choice(n, size=psi, replace=False)
-            trees.append(_grow_tree(X[sample], height_limit, rng))
-        paths = _forest_path_lengths(trees, X)
-        expected = np.add.reduce(paths, axis=0) / self.n_trees
-        return np.exp2(-expected / average_path_length(psi))
-
-
-def _forest_path_lengths(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
-    """Adjusted path lengths of every row of ``X`` in every tree, batched.
-
-    The per-tree flat arrays are concatenated with node-index offsets and
-    leaves rewritten to self-loop, so a whole forest is traversed with one
-    ``(n_trees, n)`` node matrix and a handful of gathers per level —
-    instead of ``n_trees`` separate Python-level traversals.
-
-    Returns an array of shape ``(n_trees, n_samples)``.
-    """
-    n = X.shape[0]
-    sizes = np.array([tree.feature.shape[0] for tree in trees], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    adjust = np.concatenate([tree.adjust for tree in trees])
-    node_ids = np.arange(feature.shape[0], dtype=np.int64)
-    is_split = feature >= 0
-    safe_feature = np.where(is_split, feature, 0)
-    left = np.concatenate(
-        [tree.left.astype(np.int64) + off for tree, off in zip(trees, offsets)]
-    )
-    right = np.concatenate(
-        [tree.right.astype(np.int64) + off for tree, off in zip(trees, offsets)]
-    )
-    # Leaves self-loop: once a point reaches its leaf, further levels are
-    # no-ops and no masking bookkeeping is needed.
-    left = np.where(is_split, left, node_ids)
-    right = np.where(is_split, right, node_ids)
-
-    node = np.broadcast_to(offsets[:, None], (len(trees), n)).copy()
-    rows = np.arange(n)
-    max_depth = max(tree.depth for tree in trees)
-    for _ in range(max_depth + 1):
-        if not is_split[node].any():
-            break
-        go_left = X[rows[None, :], safe_feature[node]] < threshold[node]
-        node = np.where(go_left, left[node], right[node])
-    return adjust[node]
-
-
-def _grow_tree(S: np.ndarray, height_limit: int, rng: np.random.Generator) -> _Tree:
-    """Grow one isolation tree on sample ``S`` up to ``height_limit``."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    adjust: list[float] = []
-    max_depth = 0
-
-    # Depth-first construction with an explicit stack of (row mask, depth,
-    # parent slot). Each stack entry allocates its node index on pop.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [
-        (np.arange(S.shape[0]), 0, -1, False)
-    ]
-    while stack:
-        rows, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
-        max_depth = max(max_depth, depth)
-        split = _choose_split(S, rows, rng) if (
-            depth < height_limit and rows.shape[0] > 1
-        ) else None
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            adjust.append(depth + average_path_length(rows.shape[0]))
-            continue
-        feat, thr = split
-        feature.append(feat)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        adjust.append(0.0)
-        values = S[rows, feat]
-        go_left = values < thr
-        stack.append((rows[~go_left], depth + 1, node_id, True))
-        stack.append((rows[go_left], depth + 1, node_id, False))
-
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        adjust=np.asarray(adjust, dtype=np.float64),
-        depth=max_depth,
-    )
-
-
-def _choose_split(
-    S: np.ndarray, rows: np.ndarray, rng: np.random.Generator
-) -> tuple[int, float] | None:
-    """Pick a uniformly random (feature, threshold) that splits ``rows``.
-
-    Features whose values are constant within the node cannot split it;
-    one is drawn uniformly among the non-constant features, mirroring the
-    reference implementation. Returns ``None`` when all features are
-    constant (duplicated points), making the node a leaf.
-    """
-    values = S[rows]
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    splittable = np.flatnonzero(hi > lo)
-    if splittable.shape[0] == 0:
-        return None
-    feat = int(rng.choice(splittable))
-    thr = float(rng.uniform(lo[feat], hi[feat]))
-    return feat, thr
+        c = np.array([average_path_length(m) for m in range(psi + 1)])
+        # The frontier is every node of one depth across all trees, in
+        # (tree, left-to-right) order; ``size`` counts each node's sample
+        # rows. ``S`` holds the sample rows sorted by frontier node
+        # (``s_node``); query pair ``t * n + i`` is row ``i`` of ``X`` in
+        # tree ``t``, currently at node ``q_node``.
+        S = X[np.concatenate(
+            [rng.choice(n, size=psi, replace=False) for _ in range(n_trees)]
+        )]
+        s_node = np.repeat(np.arange(n_trees), psi)
+        size = np.full(n_trees, psi)
+        q_pair = np.arange(n_trees * n)
+        q_off = np.tile(np.arange(0, n * d, d), n_trees)
+        q_node = np.repeat(np.arange(n_trees), n)
+        paths = np.empty(n_trees * n)
+        depth = 0
+        while True:
+            # rank: a node's index among this level's split nodes, -1 for a
+            # leaf. Split node r's children are nodes 2r (x < thr) and 2r + 1
+            # of the next level, which keeps the (tree, left-to-right) order.
+            rank = np.full(size.shape[0], -1)
+            if depth < height_limit:
+                # Sizes 0 and 1 and all-duplicate nodes have no splittable
+                # feature; the u0-th splittable feature and u1 set the split.
+                occupied = np.flatnonzero(size)
+                starts = (np.cumsum(size) - size)[occupied]
+                lo = np.minimum.reduceat(S, starts, axis=0)
+                hi = np.maximum.reduceat(S, starts, axis=0)
+                splittable = hi > lo
+                keep = splittable.any(axis=1)
+                lo, hi, splittable = lo[keep], hi[keep], splittable[keep]
+                at = np.arange(lo.shape[0])
+                u = rng.random((at.shape[0], 2))
+                k = splittable.sum(axis=1)
+                j = np.minimum((u[:, 0] * k).astype(np.int64), k - 1)
+                feat = (np.cumsum(splittable, axis=1) <= j[:, None]).sum(axis=1)
+                lo, hi = lo[at, feat], hi[at, feat]
+                thr = lo + u[:, 1] * (hi - lo)
+                rank[occupied[keep]] = at
+            r = rank.take(q_node)
+            leaf = r < 0
+            if leaf.any():
+                paths[q_pair[leaf]] = depth + c.take(size.take(q_node[leaf]))
+                if leaf.all():
+                    break
+                live = ~leaf
+                q_pair, q_off, r = q_pair[live], q_off[live], r[live]
+            q_node = 2 * r + (X.ravel().take(q_off + feat.take(r)) >= thr.take(r))
+            r = rank.take(s_node)
+            rows = np.flatnonzero(r >= 0)
+            r = r.take(rows)
+            child = 2 * r + (S.ravel().take(rows * d + feat.take(r)) >= thr.take(r))
+            order = np.argsort(child, kind="stable")
+            S, s_node = S[rows.take(order)], child.take(order)
+            size = np.bincount(s_node, minlength=2 * thr.shape[0])
+            depth += 1
+        expected = np.add.reduce(paths.reshape(n_trees, n), axis=0) / n_trees
+        return np.exp2(-expected / c[psi])

@@ -494,7 +494,7 @@ class ExplainEngine:
             ]
             entries = []
             for key, scorer in self._pool.items():
-                fingerprint, _detector_key = key
+                fingerprint, detector_key = key
                 if fingerprint[0] == "matrix":
                     continue
                 vectors = [
@@ -516,6 +516,7 @@ class ExplainEngine:
                             pickle.dumps(scorer.detector)
                         ).decode("ascii"),
                         "detector_repr": repr(scorer.detector),
+                        "cache_key": repr(detector_key),
                         "vectors": vectors,
                     }
                 )
@@ -567,7 +568,10 @@ class ExplainEngine:
         whose matrix no longer matches (changed profile, regenerated data)
         is **skipped**, not installed: a stale score vector served as warm
         state would silently corrupt results, whereas a skipped entry
-        merely recomputes.
+        merely recomputes. Likewise an entry whose recorded detector
+        :meth:`~repro.detectors.Detector.cache_key` differs from the live
+        one (the detector's :attr:`~repro.detectors.Detector.revision`
+        changed since the snapshot was written) is skipped.
 
         Restored vectors bypass the scorer's miss counters (see
         :meth:`~repro.subspaces.SubspaceScorer.import_cache`), so
@@ -623,8 +627,14 @@ class ExplainEngine:
             if dataset is None:
                 counts["skipped"] += 1
                 continue
-            self.register_dataset(dataset)
             detector = pickle.loads(base64.b64decode(entry["detector"]))
+            if entry.get("cache_key") != repr(detector.cache_key()):
+                # Stored by another revision of the detector's algorithm:
+                # the unpickled object reports the live revision, but its
+                # vectors are the old algorithm's scores.
+                counts["skipped"] += 1
+                continue
+            self.register_dataset(dataset)
             scorer = self.scorer_for(dataset, detector)
             installed = scorer.import_cache(
                 (

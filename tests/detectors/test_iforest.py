@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.detectors import IsolationForest, average_path_length
-from repro.detectors.iforest import _grow_tree
 from repro.exceptions import ValidationError
 
 
@@ -83,17 +82,29 @@ class TestIsolationForestBehaviour:
 
 class TestTreeConstruction:
     def test_leaf_only_tree_for_constant_data(self):
-        gen = np.random.default_rng(0)
-        S = np.ones((10, 3))
-        tree = _grow_tree(S, height_limit=5, rng=gen)
-        assert tree.feature[0] == -1  # root is a leaf
+        # The root cannot split, so every path length is h = c(psi) and
+        # the score is 2^-1: exactly with one tree, and to the last places
+        # with 100 (summing 100 equal path lengths rounds).
+        X = np.ones((10, 3))
+        for n_repeats in (1, 3):
+            scores = IsolationForest(n_trees=1, n_repeats=n_repeats, seed=0).score(X)
+            assert (scores == 0.5).all()
+        scores = IsolationForest(n_trees=100, n_repeats=10, seed=0).score(X)
+        assert np.allclose(scores, 0.5, rtol=0, atol=1e-14)
 
     def test_path_lengths_bounded_by_height(self, rng):
-        S = rng.normal(size=(64, 2))
-        tree = _grow_tree(S, height_limit=4, rng=np.random.default_rng(1))
-        lengths = tree.path_lengths(S)
-        # depth <= 4 plus the c(leaf size) adjustment
-        assert (lengths <= 4 + average_path_length(64)).all()
+        # With one tree, s = 2^(-h / c(psi)) recovers every point's path
+        # length h: its leaf depth (at most the height limit) plus c(leaf
+        # size), which is at most c(psi).
+        X = rng.normal(size=(64, 2))
+        psi, height_limit = 16, 4
+        for seed in range(5):
+            scores = IsolationForest(
+                n_trees=1, subsample_size=psi, n_repeats=1, seed=seed
+            ).score(X)
+            lengths = -np.log2(scores) * average_path_length(psi)
+            assert (lengths <= height_limit + average_path_length(psi) + 1e-9).all()
+            assert lengths.max() > 1.0  # the root split at least once
 
     def test_parameters_validated(self):
         with pytest.raises(ValidationError):

@@ -86,6 +86,35 @@ class TestEngineRoundTrip:
         assert counts["skipped"] == 2  # the dataset record and its entry
         assert restored.stats()["entries"] == 0
 
+    def _assert_skipped_then_recomputed(self, dataset, snapshot, original):
+        restored = ExplainEngine()
+        counts = restored.restore_snapshot(snapshot, resolver=lambda name: dataset)
+        assert counts == {"datasets": 1, "entries": 0, "vectors": 0, "skipped": 1}
+        assert len(original) == 3
+        scorer = restored.scorer_for(dataset, LOF(k=15))
+        for subspace, scores in original.items():
+            assert scorer.scores(subspace).tobytes() == scores.tobytes()
+        assert scorer.n_evaluations == len(original)  # recomputed, not restored
+
+    def test_entry_with_another_cache_key_is_skipped(self, dataset):
+        source = _warm_engine(dataset)
+        snapshot = source.snapshot()
+        (entry,) = snapshot["entries"]
+        assert entry["cache_key"] == repr(LOF(k=15).cache_key())
+        entry["cache_key"] = repr(("lof", 99, ("k", 15)))
+        original = dict(source.scorer_for(dataset, LOF(k=15)).export_cache())
+        self._assert_skipped_then_recomputed(dataset, snapshot, original)
+
+    def test_revision_bump_invalidates_stored_vectors(self, dataset, monkeypatch):
+        # A snapshot written before a detector's algorithm changed: the
+        # pickled detector unpickles with the live (bumped) revision, so
+        # only the recorded key shows that its vectors are stale.
+        source = _warm_engine(dataset)
+        snapshot = json.loads(json.dumps(source.snapshot()))
+        original = dict(source.scorer_for(dataset, LOF(k=15)).export_cache())
+        monkeypatch.setattr(LOF, "revision", LOF.revision + 1)
+        self._assert_skipped_then_recomputed(dataset, snapshot, original)
+
     def test_unresolvable_dataset_is_skipped(self, dataset):
         snapshot = _warm_engine(dataset).snapshot()
 
